@@ -582,17 +582,7 @@ std::vector<std::vector<std::byte>> execute_event(
     runtime::DataType type, runtime::ReduceOp op,
     const ThreadedExecOptions& options) {
   const CollParams& pr = sched.params;
-  if (inputs.size() != static_cast<std::size_t>(pr.p)) {
-    throw std::invalid_argument("execute_threaded: wrong number of inputs");
-  }
-  for (int r = 0; r < pr.p; ++r) {
-    if (inputs[static_cast<std::size_t>(r)].size() != input_bytes(pr, r)) {
-      throw std::invalid_argument("execute_threaded: input size mismatch at rank " +
-                                  std::to_string(r));
-    }
-  }
-  std::vector<std::vector<std::byte>> outputs(static_cast<std::size_t>(pr.p));
-  for (auto& buf : outputs) buf.resize(output_bytes(pr));
+  auto outputs = exec_detail::checked_outputs(pr, inputs, "execute_event");
 
   // Declaration order is the teardown contract: tasks (holding Communicators
   // into the World) die before rs; the pool joins its workers first, after

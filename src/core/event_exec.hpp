@@ -41,9 +41,9 @@ namespace gencoll::core {
 
 /// execute_threaded's contract (inputs/outputs/validation/error policy —
 /// including the first-thrown-exception rethrow and elastic death
-/// swallowing), executed on the event engine. Does not re-dispatch on
-/// options.world.executor. Worker count: GENCOLL_EVENT_WORKERS, else
-/// hardware_concurrency.
+/// swallowing), executed on the event engine; input-validation errors name
+/// execute_event. Does not re-dispatch on options.world.executor. Worker
+/// count: GENCOLL_EVENT_WORKERS, else hardware_concurrency.
 std::vector<std::vector<std::byte>> execute_event(
     const Schedule& sched, const std::vector<std::vector<std::byte>>& inputs,
     runtime::DataType type, runtime::ReduceOp op,

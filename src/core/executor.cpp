@@ -65,6 +65,24 @@ std::size_t pipeline_segment_bytes(const ExecTuning& tuning, std::size_t elem_si
   return tuning.pipeline_segment - tuning.pipeline_segment % elem_size;
 }
 
+std::vector<std::vector<std::byte>> checked_outputs(
+    const CollParams& params, const std::vector<std::vector<std::byte>>& inputs,
+    std::string_view entry) {
+  const std::string prefix(entry);
+  if (inputs.size() != static_cast<std::size_t>(params.p)) {
+    throw std::invalid_argument(prefix + ": wrong number of inputs");
+  }
+  for (int r = 0; r < params.p; ++r) {
+    if (inputs[static_cast<std::size_t>(r)].size() != input_bytes(params, r)) {
+      throw std::invalid_argument(prefix + ": input size mismatch at rank " +
+                                  std::to_string(r));
+    }
+  }
+  return std::vector<std::vector<std::byte>>(
+      static_cast<std::size_t>(params.p),
+      std::vector<std::byte>(output_bytes(params)));
+}
+
 }  // namespace exec_detail
 
 using exec_detail::emit_step;
@@ -221,18 +239,7 @@ std::vector<std::vector<std::byte>> execute_threaded(
   }
   const CollParams& pr = sched.params;
   obs::TraceSink* sink = options.sink;
-  if (inputs.size() != static_cast<std::size_t>(pr.p)) {
-    throw std::invalid_argument("execute_threaded: wrong number of inputs");
-  }
-  for (int r = 0; r < pr.p; ++r) {
-    if (inputs[static_cast<std::size_t>(r)].size() != input_bytes(pr, r)) {
-      throw std::invalid_argument("execute_threaded: input size mismatch at rank " +
-                                  std::to_string(r));
-    }
-  }
-
-  std::vector<std::vector<std::byte>> outputs(static_cast<std::size_t>(pr.p));
-  for (auto& buf : outputs) buf.resize(output_bytes(pr));
+  auto outputs = exec_detail::checked_outputs(pr, inputs, "execute_threaded");
 
   runtime::World::run(
       pr.p,

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string_view>
 #include <vector>
 
 #include "core/schedule.hpp"
@@ -125,6 +126,14 @@ void emit_step(obs::TraceSink& sink, int rank, std::size_t step, const Step& s,
 /// step's byte count alone, so sender and receiver always agree.
 std::size_t pipeline_segment_bytes(const ExecTuning& tuning,
                                    std::size_t elem_size);
+
+/// The whole-collective entry points' shared prologue: checks one input per
+/// rank of exactly input_bytes(params, r) — std::invalid_argument prefixed
+/// with `entry`, the entry point that runs — and returns the zeroed
+/// per-rank outputs.
+std::vector<std::vector<std::byte>> checked_outputs(
+    const CollParams& params, const std::vector<std::vector<std::byte>>& inputs,
+    std::string_view entry);
 
 }  // namespace exec_detail
 

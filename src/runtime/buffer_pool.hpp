@@ -1,14 +1,17 @@
 // Size-classed message-buffer pool: the allocator behind the mailbox
 // transport's hot path.
 //
-// Every buffered send needs a payload-sized byte buffer that lives from the
+// A buffered send needs a payload-sized byte buffer that lives from the
 // sender's post until the receiver consumes the match — historically a fresh
 // heap vector per message. At collective rates (p ranks x log_k p rounds x
 // pipelined segments) that is an allocator round-trip per message on the
 // critical path. The pool recycles those buffers: release returns the
 // storage to a per-size-class freelist, and the next acquire of a similar
 // size reuses it, so steady-state execution performs zero allocations per
-// message (the bench-gate CI leg pins allocs/op to O(1)).
+// message (the bench-gate CI leg pins allocs/op to O(1)). Payloads of at
+// most kInlinePayloadBytes on the plain transport travel inside the Message
+// instead and never reach the pool (runtime/mailbox.hpp); fault-injected
+// and reliable sends always use pooled or adopted storage.
 //
 // Design:
 //   * Size classes are powers of two from kMinClassBytes up to

@@ -126,16 +126,22 @@ void Communicator::send(int dest, int tag, std::span<const std::byte> data) {
     return;
   }
 
+  Message m;
+  m.source = dense_rank_;
+  m.tag = tag;
+  m.epoch = epoch_;
+  if (plan_ == nullptr && data.size() <= kInlinePayloadBytes) {
+    // Plain transport, small payload: the bytes ride in the Message itself.
+    m.set_inline(data);
+    world_->mailbox(orig_of(dest)).post(std::move(m));
+    return;
+  }
   fault::FaultDecision d;
   if (plan_ != nullptr) {
     const std::uint32_t seq = send_seq_[channel_key(dest, tag)]++;
     d = fault::decide(*plan_, rank_, dest, tag, seq, 0, fault::MsgStream::kData);
   }
   if (d.drop) return;
-  Message m;
-  m.source = dense_rank_;
-  m.tag = tag;
-  m.epoch = epoch_;
   m.payload = world_->pool().acquire(data.size());
   if (!data.empty()) std::memcpy(m.payload.data(), data.data(), data.size());
   if (d.corrupt) flip_bit(m.payload.span(), d.corrupt_bit);
@@ -509,7 +515,10 @@ std::vector<std::byte> Communicator::recv_any_size(int source, int tag) {
     return wire;
   }
   Message m = world_->mailbox(rank_).match(source, tag, timeout_, rank_, epoch_);
-  if (m.zero_copy) return {m.view.begin(), m.view.end()};
+  if (m.zero_copy || m.is_inline) {
+    const auto bytes = m.bytes();
+    return {bytes.begin(), bytes.end()};
+  }
   return std::move(m.payload).take();
 }
 

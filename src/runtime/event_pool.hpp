@@ -11,8 +11,13 @@
 // expires. ~hardware_concurrency workers therefore multiplex thousands of
 // rank tasks.
 //
-// Task states (all transitions under the pool mutex, so TSan sees plain
-// happens-before edges — no lock-free subtlety):
+// Ready queues are sharded: one cache-line-aligned shard (mutex, deque,
+// atomic size) per worker target. Each task gets a home shard at submit,
+// assigned round-robin in submit order (the n-th submitted task lives on
+// shard n % worker_target()). A task is only ever queued on its home shard,
+// and its state is guarded by that shard's mutex, so the protocol below is
+// the same plain-mutex protocol on every shard — TSan sees ordinary
+// happens-before edges, with no lock-free subtlety on the task state:
 //
 //   kIdle ──wake()──▶ kQueued ──worker pops──▶ kRunning ──step() parks──▶ kIdle
 //                                                │   ▲
@@ -22,24 +27,52 @@
 //
 // The kRunningNotified leg closes the lost-wakeup race: a message that lands
 // between a task's final empty poll and its park re-queues the task instead
-// of being missed. Timer entries are lazily stale — waking a task leaves its
-// old deadline in the heap, and an expired stale entry just causes a
-// harmless spurious wake (the task re-polls and re-parks).
+// of being missed.
+//
+// Workers pop from their own shard and steal from the others (reading each
+// shard's atomic size before taking its mutex). An idle worker sleeps only
+// after registering as a sleeper and re-checking every shard and the next
+// timer deadline under the sleep mutex; a producer that queued work, or
+// armed an earlier deadline, notifies only when the sleeper count is
+// nonzero. Both sides use sequentially consistent accesses, so either the
+// producer sees the sleeper or the sleeper sees the work.
+//
+// Timers: a parked task has at most one live timer entry. A park pushes a
+// heap entry only when its wake_at is earlier than the task's live entry
+// (Task::timer_at_); a later wake_at keeps the earlier entry, which fires
+// early — a harmless spurious wake (the task re-polls and re-parks with a
+// fresh entry). Popped entries superseded by an earlier one are skipped. So
+// a task is never woken later than its wake_at, and a long run of wake()ed
+// parks that each re-arm a later receive deadline keeps one heap entry, not
+// one per park. Workers read an atomic next-deadline before taking the
+// timer mutex.
+//
+// Lock order: a shard mutex and the timer mutex are never held together
+// (due timers are collected under the timer mutex and woken after it is
+// released); the sleep mutex is innermost and nothing is taken under it;
+// the control mutex (worker list, blocked count) is never held with any
+// other pool mutex.
 //
 // Managed blocking: control-plane waits whose duration depends on *peers*
 // (barrier, survivor agreement, commit rendezvous, shm seqlock waits) cannot
 // park — they sit inside foreign mutex/condvar protocols. A BlockingGuard
 // around such a wait tells the pool a worker is about to stall; the pool
 // spawns a compensation worker when the unblocked count would drop below
-// target, so parked tasks keep draining. Thread count is bounded by
-// target + live tasks — the same order as the threaded engine, and only
-// reached when every task blocks at once (e.g. a commit rendezvous at small
-// p); steady-state collectives never block and stay at ~target threads.
+// target, so parked tasks keep draining. Tasks queued on the stalled
+// worker's own shard are not stranded: every other worker (and the
+// compensation worker, which gets a home shard like any worker) steals
+// them. Thread count is bounded by target + live tasks — the same order as
+// the threaded engine, and only reached when every task blocks at once
+// (e.g. a commit rendezvous at small p); steady-state collectives never
+// block and stay at ~target threads.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <queue>
@@ -86,7 +119,12 @@ class EventPool {
    private:
     friend class EventPool;
     enum class State { kIdle, kQueued, kRunning, kRunningNotified, kDone };
-    State state_ = State::kIdle;  // guarded by the owning pool's mutex
+    State state_ = State::kIdle;  // guarded by the home shard's mutex
+    int home_ = 0;                // home shard index, fixed at submit
+    /// `when` of this task's live timer entry, time_point::max() if none.
+    /// Guarded by the pool's timer mutex.
+    std::chrono::steady_clock::time_point timer_at_ =
+        std::chrono::steady_clock::time_point::max();
   };
 
   /// `workers` <= 0 resolves the default (GENCOLL_EVENT_WORKERS, else
@@ -96,12 +134,14 @@ class EventPool {
   EventPool(const EventPool&) = delete;
   EventPool& operator=(const EventPool&) = delete;
 
-  /// Register `task` and queue it for its first step. The task must outlive
-  /// the pool (or at least every wake() that could still reference it).
+  /// Register `task` on its home shard (round-robin in submit order) and
+  /// queue it for its first step. The task must outlive the pool (or at
+  /// least every wake() or timer entry that could still reference it).
   void submit(Task* task);
 
-  /// Re-queue a parked task; safe from any thread, any task state (waking a
-  /// queued, running, or finished task is a no-op / a deferred re-queue).
+  /// Re-queue a parked task; safe from any thread, any task state after
+  /// submit (waking a queued, running, or finished task is a no-op / a
+  /// deferred re-queue). A task must not be woken before it is submitted.
   void wake(Task* task);
 
   /// Block the calling (non-worker) thread until every submitted task
@@ -117,35 +157,77 @@ class EventPool {
   /// BlockingGuard no-op on the threaded engine's rank threads.
   static EventPool* current();
 
-  /// Resolved worker target (compensation can grow the spawned count).
+  /// Resolved worker target (compensation can grow the spawned count). Also
+  /// the number of ready-queue shards.
   [[nodiscard]] int worker_target() const { return target_; }
   [[nodiscard]] int workers_spawned() const;
+  /// Timer-heap entries not yet popped, superseded ones included
+  /// (diagnostics/tests: the one-live-timer rule keeps this bounded).
+  [[nodiscard]] std::size_t timers_pending() const;
 
   /// GENCOLL_EVENT_WORKERS > std::thread::hardware_concurrency() > 4.
   static int default_workers();
 
  private:
+  using Clock = std::chrono::steady_clock;
+  static constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
+
   struct TimerEntry {
-    std::chrono::steady_clock::time_point when;
+    Clock::time_point when;
     Task* task;
     bool operator>(const TimerEntry& o) const { return when > o.when; }
   };
 
-  void worker_loop();
-  void wake_locked(Task* task);
+  /// One worker's ready queue. `size` mirrors ready.size() (written under
+  /// mu) so workers can skip empty shards without locking them.
+  struct alignas(64) Shard {
+    std::mutex mu;
+    std::deque<Task*> ready;
+    std::atomic<std::size_t> size{0};
+  };
+
+  void worker_loop(int home);
+  /// Requires shard.mu, where shard is task's home shard.
+  void push_locked(Shard& shard, Task* task);
+  /// Pop from shard `home`, else steal from the others; nullptr if all empty.
+  Task* pop_any(int home);
+  [[nodiscard]] bool any_ready() const;
+  /// Notify one sleeping worker, if any worker sleeps.
+  void notify_sleeper();
+  /// Sleep until notified, until the next timer deadline, or not at all if
+  /// work or a due timer shows up in the re-check.
+  void sleep_until_work();
+  /// Arm `task`'s timer for `when` under the one-live-timer rule.
+  void arm_timer(Task* task, Clock::time_point when);
+  /// Wake every task whose live timer entry is due.
+  void fire_due_timers();
+  /// Requires timer_mu_. Publish the heap top as next_deadline_.
+  void publish_deadline_locked();
+  /// Requires ctl_mu_.
   void spawn_worker_locked();
 
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;  ///< workers wait for ready tasks / timers
-  std::condition_variable done_cv_;  ///< wait_all() waits for live_tasks_ == 0
-  std::deque<Task*> ready_;
+  const int target_;
+  std::unique_ptr<Shard[]> shards_;  ///< target_ shards
+  std::atomic<unsigned> next_home_{0};
+  std::atomic<int> live_tasks_{0};
+  std::atomic<bool> stop_{false};
+
+  mutable std::mutex timer_mu_;
   std::priority_queue<TimerEntry, std::vector<TimerEntry>, std::greater<>>
       timers_;
-  std::vector<std::thread> workers_;
-  int target_;
-  int live_tasks_ = 0;
-  int blocked_ = 0;
-  bool stop_ = false;
+  /// Heap top, kNoDeadline when empty; written under timer_mu_.
+  std::atomic<Clock::time_point> next_deadline_{kNoDeadline};
+
+  std::mutex sleep_mu_;
+  std::condition_variable work_cv_;  ///< idle workers wait for work / timers
+  std::atomic<int> sleepers_{0};
+
+  std::mutex done_mu_;
+  std::condition_variable done_cv_;  ///< wait_all() waits for live_tasks_ == 0
+
+  mutable std::mutex ctl_mu_;
+  std::vector<std::thread> workers_;  ///< guarded by ctl_mu_
+  int blocked_ = 0;                   ///< guarded by ctl_mu_
 };
 
 /// RAII wrapper for a peer-dependent blocking wait on (possibly) a pool

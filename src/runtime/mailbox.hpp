@@ -1,10 +1,12 @@
 // Tag-matched mailbox: the delivery endpoint of one rank.
 //
-// Sends are buffered (the payload is copied into the mailbox), so a send
-// never blocks — this mirrors MPI's eager protocol for the message sizes the
-// tests exercise and guarantees that schedule execution cannot deadlock on
-// send ordering. Receives block until a message with matching (source, tag)
-// arrives, with a deadline so broken schedules fail tests instead of hanging.
+// Sends are buffered (the payload is copied into the mailbox: into the
+// Message itself for payloads of at most kInlinePayloadBytes on the plain
+// transport, into BufferPool storage otherwise), so a send never blocks —
+// this mirrors MPI's eager protocol for the message sizes the tests exercise
+// and guarantees that schedule execution cannot deadlock on send ordering.
+// Receives block until a message with matching (source, tag) arrives, with
+// a deadline so broken schedules fail tests instead of hanging.
 //
 // Fault integration (src/fault/):
 //   * A message may carry a deliver_at timestamp (injected delivery delay);
@@ -20,9 +22,12 @@
 //     std::runtime_error this class threw historically.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -49,6 +54,11 @@ class MailboxWaiter {
   ~MailboxWaiter() = default;
 };
 
+/// Largest payload the plain transport carries inside the Message (see
+/// Message::set_inline). Small-message collectives — a k-ring round at large
+/// p moves a few bytes per message — then never touch the BufferPool.
+inline constexpr std::size_t kInlinePayloadBytes = 64;
+
 struct Message {
   int source = -1;
   int tag = 0;
@@ -58,7 +68,8 @@ struct Message {
   /// epoch, which every pre-shrink (and every kAbort-mode) message carries.
   int epoch = 0;
   /// Owned payload bytes: pool-recycled storage on the hot path, adopted
-  /// heap vectors on the fault-envelope paths. Empty for zero-copy sends.
+  /// heap vectors on the fault-envelope paths. Empty for zero-copy and
+  /// inline sends.
   PoolBuffer payload;
   /// Zero-copy fast path: a non-owning window into the *sender's* registered
   /// buffer. Valid only under the executor's zero-copy contract (the sender
@@ -70,9 +81,24 @@ struct Message {
   /// means "immediately". Set by fault-injected delivery delays.
   std::chrono::steady_clock::time_point deliver_at{};
 
+  /// Small-payload fast path (plain transport only): the bytes travel in
+  /// the Message itself. `inline_size` is meaningful only when `is_inline`.
+  bool is_inline = false;
+  std::uint8_t inline_size = 0;
+  std::array<std::byte, kInlinePayloadBytes> inline_bytes{};
+
+  /// Copy `data` (at most kInlinePayloadBytes) into the Message.
+  void set_inline(std::span<const std::byte> data) {
+    is_inline = true;
+    inline_size = static_cast<std::uint8_t>(data.size());
+    if (!data.empty()) std::memcpy(inline_bytes.data(), data.data(), data.size());
+  }
+
   /// The payload bytes regardless of transport mode.
   [[nodiscard]] std::span<const std::byte> bytes() const {
-    return zero_copy ? view : payload.span();
+    if (zero_copy) return view;
+    if (is_inline) return {inline_bytes.data(), inline_size};
+    return payload.span();
   }
   [[nodiscard]] std::size_t size() const { return bytes().size(); }
 };

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -133,6 +134,51 @@ TEST(EventExec, ZeroCopyAndPipelinedTuningMatchReference) {
   tuning.pipeline_segment = 128;
   const auto got = run_with(sched, inputs, ExecutorKind::kEvent, tuning);
   expect_exact(params, got, want, "event zero-copy + pipelined");
+}
+
+TEST(EventExec, ScaleKringAllreduceOnFourWorkersIsBitExact) {
+  // The shape the scale benchmark drives: p=256 k-ring k=4 allreduce of
+  // 4 KiB, 16 B per message, so every message travels inline and hundreds
+  // of tasks wake each other across the worker shards.
+  CollParams params;
+  params.op = CollOp::kAllreduce;
+  params.p = 256;
+  params.count = 1024;
+  params.elem_size = 4;
+  params.k = 4;
+  const Schedule sched = build_schedule(Algorithm::kKring, params);
+  const auto inputs = make_inputs(params, DataType::kInt32, kSeed);
+  const auto want =
+      reference_outputs(params, inputs, DataType::kInt32, ReduceOp::kSum);
+
+  ASSERT_EQ(setenv("GENCOLL_EVENT_WORKERS", "4", 1), 0);
+  const auto got = execute_event(sched, inputs, DataType::kInt32, ReduceOp::kSum);
+  ASSERT_EQ(unsetenv("GENCOLL_EVENT_WORKERS"), 0);
+  expect_exact(params, got, want, "event p=256 kring k=4");
+}
+
+TEST(EventExec, InputValidationNamesTheEventEntryPoint) {
+  CollParams params;
+  params.op = CollOp::kAllreduce;
+  params.p = 4;
+  params.count = 16;
+  params.elem_size = 4;
+  params.k = 2;
+  const Schedule sched = build_schedule(Algorithm::kRecursiveMultiplying, params);
+  auto inputs = make_inputs(params, DataType::kInt32, kSeed);
+  inputs.pop_back();
+  try {
+    execute_event(sched, inputs, DataType::kInt32, ReduceOp::kSum);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "execute_event: wrong number of inputs");
+  }
+  try {
+    run_with(sched, inputs, ExecutorKind::kThreaded);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "execute_threaded: wrong number of inputs");
+  }
 }
 
 TEST(EventExec, EmitsTheSameTraceSpansAsThreaded) {

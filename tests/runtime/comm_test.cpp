@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstring>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "fault/error.hpp"
+#include "fault/plan.hpp"
+#include "runtime/buffer_pool.hpp"
 
 #include "runtime/world.hpp"
 
@@ -161,6 +165,126 @@ TEST(Comm, RecvTimeoutConfigurable) {
     comm.set_recv_timeout(std::chrono::milliseconds(50));
     EXPECT_EQ(comm.recv_timeout(), std::chrono::milliseconds(50));
   });
+}
+
+// --- Inline small payloads (runtime/mailbox.hpp kInlinePayloadBytes) ---
+
+std::vector<std::byte> pattern(std::size_t n, int salt) {
+  std::vector<std::byte> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::byte>((i * 31 + static_cast<std::size_t>(salt)) & 0xFF);
+  }
+  return out;
+}
+
+constexpr std::size_t kBoundarySizes[] = {0, 1, kInlinePayloadBytes,
+                                          kInlinePayloadBytes + 1};
+
+TEST(Comm, PayloadsUpToTheInlineLimitSkipTheBufferPool) {
+  for (const std::size_t n : kBoundarySizes) {
+    SCOPED_TRACE("payload bytes " + std::to_string(n));
+    const bool small = n <= kInlinePayloadBytes;
+    BufferPool pool;
+    WorldOptions options;
+    options.pool = &pool;
+    World world(2, options);
+    Communicator sender(&world, 0);
+    Communicator receiver(&world, 1);
+    const auto data = pattern(n, 5);
+
+    const auto acquires = pool.stats().acquires;
+    sender.send(1, 1, data);
+    EXPECT_EQ(pool.stats().acquires - acquires, small ? 0u : 1u);
+    std::vector<std::byte> got(n);
+    receiver.recv(0, 1, got);
+    EXPECT_EQ(got, data);
+
+    sender.send(1, 2, data);
+    EXPECT_EQ(receiver.recv_any_size(0, 2), data);
+
+    sender.send(1, 3, data);
+    const Message m = receiver.recv_msg(0, 3, n);
+    EXPECT_EQ(m.is_inline, small);
+    EXPECT_TRUE(std::equal(m.bytes().begin(), m.bytes().end(), data.begin(),
+                           data.end()));
+    EXPECT_EQ(pool.stats().acquires - acquires, small ? 0u : 3u);
+  }
+}
+
+TEST(Comm, FaultInjectedSmallPayloadsStayPooled) {
+  // Every message duplicated and delayed: the injector needs owned wire
+  // bytes, so even a 0-byte payload takes the pooled path.
+  fault::FaultPlan plan;
+  plan.seed = 11;
+  plan.dup_prob = 1.0;
+  plan.delay_prob = 1.0;
+  plan.max_delay_ms = 2.0;
+  for (const std::size_t n : kBoundarySizes) {
+    SCOPED_TRACE("payload bytes " + std::to_string(n));
+    BufferPool pool;
+    WorldOptions options;
+    options.pool = &pool;
+    options.fault_plan = &plan;
+    World world(2, options);
+    Communicator sender(&world, 0);
+    Communicator receiver(&world, 1);
+    const auto data = pattern(n, 9);
+
+    sender.send(1, 4, data);
+    EXPECT_EQ(pool.stats().acquires, 2u);  // the message and its duplicate
+    for (int copy = 0; copy < 2; ++copy) {
+      const Message m = receiver.recv_msg(0, 4, n);
+      EXPECT_FALSE(m.is_inline);
+      EXPECT_TRUE(std::equal(m.bytes().begin(), m.bytes().end(), data.begin(),
+                             data.end()));
+    }
+  }
+}
+
+TEST(Comm, CorruptionStillReachesSmallPayloads) {
+  fault::FaultPlan plan;
+  plan.seed = 2;
+  plan.corrupt_prob = 1.0;
+  for (const std::size_t n : {std::size_t{1}, kInlinePayloadBytes}) {
+    SCOPED_TRACE("payload bytes " + std::to_string(n));
+    WorldOptions options;
+    options.fault_plan = &plan;
+    World world(2, options);
+    Communicator sender(&world, 0);
+    Communicator receiver(&world, 1);
+    const auto data = pattern(n, 3);
+    sender.send(1, 5, data);
+    std::vector<std::byte> got(n);
+    receiver.recv(0, 5, got);
+    EXPECT_NE(got, data) << "the injected bit-flip must hit small payloads too";
+  }
+}
+
+TEST(Comm, ReliableSmallPayloadsAreEnvelopedAndExact) {
+  fault::FaultPlan plan;
+  plan.seed = 21;
+  plan.dup_prob = 0.3;
+  plan.corrupt_prob = 0.3;
+  plan.delay_prob = 0.3;
+  plan.max_delay_ms = 2.0;
+  WorldOptions options;
+  options.fault_plan = &plan;
+  options.reliability.enabled = true;
+  World world(2, options);
+  Communicator sender(&world, 0);
+  Communicator receiver(&world, 1);
+  int tag = 0;
+  for (const std::size_t n : kBoundarySizes) {
+    SCOPED_TRACE("payload bytes " + std::to_string(n));
+    for (int rep = 0; rep < 8; ++rep, ++tag) {
+      const auto data = pattern(n, tag);
+      sender.send(1, tag, data);
+      const Message m = receiver.recv_msg(0, tag, n);
+      EXPECT_FALSE(m.is_inline);
+      EXPECT_TRUE(std::equal(m.bytes().begin(), m.bytes().end(), data.begin(),
+                             data.end()));
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // EventPool unit tests (DESIGN.md section 13): the worker pool's wakeup
 // protocol in isolation, with hand-written tasks instead of rank programs —
 // run-to-completion ordering under a single worker, the kRunningNotified
-// lost-wakeup defense, timer-heap expiry, managed-blocking compensation,
-// and the executor-selection resolution chain (option > env > threaded).
+// lost-wakeup defense (also as a cross-shard stress), timer-heap expiry and
+// the one-live-timer rule, stealing past a blocked worker, managed-blocking
+// compensation, and the executor-selection resolution chain (option > env >
+// threaded).
 #include "runtime/event_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -212,6 +215,175 @@ TEST(EventPool, BlockingGuardIsANoOpOffThePool) {
   ASSERT_EQ(EventPool::current(), nullptr);
   BlockingGuard guard;  // must not touch any pool
   SUCCEED();
+}
+
+/// Parks `parks` times with a +60 s receive deadline (the ScheduleRunner
+/// pattern), counting its steps so the driver can wake it after each one.
+class DeadlineParkTask final : public EventPool::Task {
+ public:
+  explicit DeadlineParkTask(int parks) : parks_(parks) {}
+  StepResult step() override {
+    const int n = steps.fetch_add(1, std::memory_order_acq_rel) + 1;
+    if (n <= parks_) return {Status::kPark, steady_clock::now() + std::chrono::seconds(60)};
+    return {Status::kDone, kNever};
+  }
+  std::atomic<int> steps{0};
+
+ private:
+  int parks_;
+};
+
+/// Spin until `counter` reaches `target` (bounded like await()).
+bool await_count(const std::atomic<int>& counter, int target,
+                 milliseconds budget = milliseconds(10000)) {
+  const auto deadline = steady_clock::now() + budget;
+  while (counter.load(std::memory_order_acquire) < target) {
+    if (steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(EventPool, RepeatedParksKeepOneLiveTimerEntry) {
+  constexpr int kParks = 10000;
+  DeadlineParkTask task(kParks);  // outlives the pool and its timer entry
+  EventPool pool(2);
+  pool.submit(&task);
+  for (int i = 1; i <= kParks; ++i) {
+    // Once step i has started, a wake either re-queues the parked task or
+    // marks the running one notified; both lead to step i + 1.
+    ASSERT_TRUE(await_count(task.steps, i)) << "stalled at park " << i;
+    pool.wake(&task);
+  }
+  pool.wait_all();
+  EXPECT_EQ(task.steps.load(), kParks + 1);
+  // Every park after the first carried a later deadline than the live entry,
+  // so none of them may have pushed another heap entry.
+  EXPECT_LE(pool.timers_pending(), 1u);
+}
+
+/// Parks with +60 s, then (after a wake) with +50 ms: the earlier deadline
+/// must supersede the live 60 s entry.
+class ShorterDeadlineTask final : public EventPool::Task {
+ public:
+  StepResult step() override {
+    const int n = steps.fetch_add(1, std::memory_order_acq_rel) + 1;
+    if (n == 1) return {Status::kPark, steady_clock::now() + std::chrono::seconds(60)};
+    if (n == 2) {
+      short_wake_at = steady_clock::now() + milliseconds(50);
+      return {Status::kPark, short_wake_at};
+    }
+    ran_at = steady_clock::now();
+    return {Status::kDone, kNever};
+  }
+  std::atomic<int> steps{0};
+  steady_clock::time_point short_wake_at{};
+  steady_clock::time_point ran_at{};
+};
+
+TEST(EventPool, EarlierDeadlineSupersedesTheLiveTimer) {
+  ShorterDeadlineTask task;  // outlives the pool and its timer entries
+  EventPool pool(2);
+  pool.submit(&task);
+  ASSERT_TRUE(await_count(task.steps, 1));
+  pool.wake(&task);
+  pool.wait_all();  // wait_all orders the task's writes before these reads
+  ASSERT_EQ(task.steps.load(), 3);
+  EXPECT_GE(task.ran_at, task.short_wake_at) << "woken before its wake_at";
+  EXPECT_LT(task.ran_at - task.short_wake_at, std::chrono::seconds(10))
+      << "the 50 ms deadline waited for the superseded 60 s entry";
+}
+
+/// Blocks under managed blocking until `peer_ran` is set.
+class BlockUntilTask final : public EventPool::Task {
+ public:
+  explicit BlockUntilTask(std::atomic<bool>* peer_ran) : peer_ran_(peer_ran) {}
+  StepResult step() override {
+    BlockingGuard guard;
+    ok = await(*peer_ran_);
+    return {Status::kDone, kNever};
+  }
+  bool ok = false;
+
+ private:
+  std::atomic<bool>* peer_ran_;
+};
+
+TEST(EventPool, TasksQueuedBehindABlockedWorkerAreStolen) {
+  // Home shards are assigned round-robin in submit order: with two shards
+  // the blocker and the peer it waits for share shard 0, the filler takes
+  // shard 1. Whichever worker runs the blocker stalls with the peer queued
+  // on the blocker's home shard, so another worker must steal it.
+  std::atomic<bool> peer_ran{false};
+  std::atomic<bool> filler_ran{false};
+  EventPool pool(2);
+  BlockUntilTask blocker(&peer_ran);
+  SignalTask filler(&filler_ran);
+  SignalTask peer(&peer_ran);
+  pool.submit(&blocker);
+  pool.submit(&filler);
+  pool.submit(&peer);
+  pool.wait_all();
+  EXPECT_TRUE(blocker.ok) << "the peer queued behind the blocked task never ran";
+  EXPECT_TRUE(filler_ran.load());
+}
+
+/// Token ring across shards: each task forwards every token it holds to its
+/// successor and finishes after forwarding `rounds` of them. Tasks park
+/// with no deadline, so a single lost wakeup stalls the ring for good.
+class TokenTask final : public EventPool::Task {
+ public:
+  TokenTask(EventPool* pool, int rounds) : pool_(pool), rounds_(rounds) {}
+  void set_next(TokenTask* next) { next_ = next; }
+  StepResult step() override {
+    // Hold every token until the driver has submitted the whole ring: a
+    // wake() must never reach a task that is not submitted yet.
+    if (!go->load(std::memory_order_acquire)) return {Status::kPark, kNever};
+    for (int held = tokens.exchange(0, std::memory_order_acq_rel); held > 0; --held) {
+      next_->tokens.fetch_add(1, std::memory_order_acq_rel);
+      pool_->wake(next_);
+      if (++forwarded_ == rounds_) {
+        finished->fetch_add(1, std::memory_order_acq_rel);
+        return {Status::kDone, kNever};
+      }
+    }
+    return {Status::kPark, kNever};
+  }
+  std::atomic<int> tokens{1};
+  std::atomic<int>* finished = nullptr;
+  const std::atomic<bool>* go = nullptr;
+
+ private:
+  EventPool* pool_;
+  TokenTask* next_ = nullptr;
+  int rounds_;
+  int forwarded_ = 0;
+};
+
+TEST(EventPool, CrossShardWakeStormLosesNoWakeup) {
+  constexpr int kTasks = 64;
+  constexpr int kRounds = 10000;
+  std::atomic<int> finished{0};
+  std::atomic<bool> go{false};
+  std::vector<std::unique_ptr<TokenTask>> tasks;
+  EventPool pool(4);
+  for (int i = 0; i < kTasks; ++i) {
+    tasks.push_back(std::make_unique<TokenTask>(&pool, kRounds));
+    tasks.back()->finished = &finished;
+    tasks.back()->go = &go;
+  }
+  for (int i = 0; i < kTasks; ++i) {
+    tasks[static_cast<std::size_t>(i)]->set_next(
+        tasks[static_cast<std::size_t>((i + 1) % kTasks)].get());
+  }
+  for (auto& t : tasks) pool.submit(t.get());
+  go.store(true, std::memory_order_release);
+  for (auto& t : tasks) pool.wake(t.get());  // re-queue any early park
+  // Bounded instead of wait_all(): a lost wakeup fails here, and the pool
+  // (declared after the tasks) still shuts down cleanly before they die.
+  EXPECT_TRUE(await_count(finished, kTasks, milliseconds(100000)))
+      << finished.load() << " of " << kTasks << " tasks finished";
+  if (finished.load() == kTasks) pool.wait_all();
 }
 
 // ---------------------------------------------------------------------------
