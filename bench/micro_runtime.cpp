@@ -54,6 +54,15 @@ void BM_BuildRingAllgather(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildRingAllgather)->Arg(128)->Arg(512);
 
+void BM_BuildKringAllreduce(benchmark::State& state) {
+  const auto params = make_params(core::CollOp::kAllreduce,
+                                  static_cast<int>(state.range(0)), 4096, 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::build_schedule(core::Algorithm::kKring, params));
+  }
+}
+BENCHMARK(BM_BuildKringAllreduce)->Arg(256)->Unit(benchmark::kMillisecond);
+
 void BM_ValidateSchedule(benchmark::State& state) {
   const auto sched = core::build_schedule(
       core::Algorithm::kRecursiveMultiplying,

@@ -97,7 +97,17 @@ void append_recmul_allgather_rounds(Schedule& sched, int k, int rounds, int part
   }
 }
 
-void append_kring_allgather_rounds(Schedule& sched, int k, int rot, int tag_base) {
+std::vector<Seg> block_segs(const CollParams& params) {
+  std::vector<Seg> blocks(static_cast<std::size_t>(params.p));
+  for (int b = 0; b < params.p; ++b) {
+    blocks[static_cast<std::size_t>(b)] =
+        seg_of_blocks(params.count, params.elem_size, params.p, b, b + 1);
+  }
+  return blocks;
+}
+
+void append_kring_allgather_rounds(Schedule& sched, int k, int rot, int tag_base,
+                                   std::span<const Seg> blocks) {
   const CollParams& pr = sched.params;
   const int p = pr.p;
   if (k < 1 || k > p) {
@@ -107,9 +117,6 @@ void append_kring_allgather_rounds(Schedule& sched, int k, int rot, int tag_base
 
   const auto group_base = [&](int G) { return G * k; };
   const auto group_size = [&](int G) { return G == g - 1 ? p - k * (g - 1) : k; };
-  const auto block_seg = [&](int b) {
-    return seg_of_blocks(pr.count, pr.elem_size, p, b, b + 1);
-  };
   auto prog_of = [&](int vr) -> RankProgram& {
     return sched.ranks[static_cast<std::size_t>(real_of(vr, rot, p))];
   };
@@ -120,56 +127,42 @@ void append_kring_allgather_rounds(Schedule& sched, int k, int rot, int tag_base
   };
 
   // "Stream" m = the blocks of group m. In phase j, group G circulates
-  // stream (G - j) internally, then forwards it to group G + 1. start[G][i]
-  // holds the stream blocks member i owns at the phase start (its own block
-  // in phase 0; whatever the inter hand-off assigned afterwards — several
-  // blocks per member when the groups are non-uniform).
-  std::vector<std::vector<std::vector<int>>> start(static_cast<std::size_t>(g));
-  for (int G = 0; G < g; ++G) {
-    auto& members = start[static_cast<std::size_t>(G)];
-    members.resize(static_cast<std::size_t>(group_size(G)));
-    for (int i = 0; i < group_size(G); ++i) {
-      members[static_cast<std::size_t>(i)] = {group_base(G) + i};
-    }
-  }
+  // stream m = (G - j) internally, then forwards it to group G + 1. At the
+  // phase start member i of G holds the stream blocks base(m) + idx with
+  // idx % sG == i, in increasing idx: its own block in phase 0, and
+  // afterwards exactly what the previous phase's inter hand-off delivered
+  // to it (several blocks per member when the groups are non-uniform).
+  const auto for_each_start_block = [&](int m, int sG, int member, auto&& fn) {
+    for (int idx = member; idx < group_size(m); idx += sG) fn(group_base(m) + idx);
+  };
 
   for (int j = 0; j < g; ++j) {
-    std::vector<std::vector<std::vector<int>>> next_start(static_cast<std::size_t>(g));
-    for (int G = 0; G < g; ++G) {
-      next_start[static_cast<std::size_t>(G)].resize(
-          static_cast<std::size_t>(group_size(G)));
-    }
-
     // Intra rounds first for every group (they are independent and must not
     // be ordered behind any inter receive): the size-sG ring circulates each
     // member's phase-start set; after sG-1 rounds every member holds all of
-    // stream (G - j).
+    // stream (G - j). In round t member i forwards the set it received in
+    // round t-1, i.e. member (i - t + 1)'s phase-start set.
     for (int G = 0; G < g; ++G) {
       const int sG = group_size(G);
       const int base = group_base(G);
-      std::vector<std::vector<int>> rolling = start[static_cast<std::size_t>(G)];
+      const int m = ((G - j) % g + g) % g;
       for (int t = 1; t < sG; ++t) {
         const int tag = round_tag(j, t);
         for (int i = 0; i < sG; ++i) {
           RankProgram& prog = prog_of(base + i);
           const int right = (i + 1) % sG;
           const int left = (i - 1 + sG) % sG;
-          for (int b : rolling[static_cast<std::size_t>(i)]) {
-            const Seg s = block_seg(b);
-            prog.send(real_of(base + right, rot, p), tag, s.off, s.len);
-          }
-          for (int b : rolling[static_cast<std::size_t>(left)]) {
-            const Seg s = block_seg(b);
-            prog.recv(real_of(base + left, rot, p), tag, s.off, s.len);
-          }
+          const int right_peer = real_of(base + right, rot, p);
+          const int left_peer = real_of(base + left, rot, p);
+          for_each_start_block(m, sG, ((i - t + 1) % sG + sG) % sG, [&](int b) {
+            const Seg& s = blocks[static_cast<std::size_t>(b)];
+            prog.send(right_peer, tag, s.off, s.len);
+          });
+          for_each_start_block(m, sG, ((i - t) % sG + sG) % sG, [&](int b) {
+            const Seg& s = blocks[static_cast<std::size_t>(b)];
+            prog.recv(left_peer, tag, s.off, s.len);
+          });
         }
-        // Everyone forwards what just arrived in the next round.
-        std::vector<std::vector<int>> arrived(rolling.size());
-        for (int i = 0; i < sG; ++i) {
-          arrived[static_cast<std::size_t>(i)] =
-              rolling[static_cast<std::size_t>((i - 1 + sG) % sG)];
-        }
-        rolling = std::move(arrived);
       }
     }
 
@@ -188,12 +181,9 @@ void append_kring_allgather_rounds(Schedule& sched, int k, int rot, int tag_base
       const int m = ((G - j) % g + g) % g;
       const int stream_len = group_size(m);
       for (int idx = 0; idx < stream_len; ++idx) {
-        const int b = group_base(m) + idx;
-        const Seg s = block_seg(b);
+        const Seg& s = blocks[static_cast<std::size_t>(group_base(m) + idx)];
         prog_of(group_base(G) + idx % sG)
             .send(real_of(group_base(dst) + idx % sDst, rot, p), tag, s.off, s.len);
-        next_start[static_cast<std::size_t>(dst)]
-                  [static_cast<std::size_t>(idx % sDst)].push_back(b);
       }
     }
     for (int dst = 0; dst < g; ++dst) {
@@ -204,13 +194,11 @@ void append_kring_allgather_rounds(Schedule& sched, int k, int rot, int tag_base
       const int m = ((src - j) % g + g) % g;
       const int stream_len = group_size(m);
       for (int idx = 0; idx < stream_len; ++idx) {
-        const int b = group_base(m) + idx;
-        const Seg s = block_seg(b);
+        const Seg& s = blocks[static_cast<std::size_t>(group_base(m) + idx)];
         prog_of(group_base(dst) + idx % sDst)
             .recv(real_of(group_base(src) + idx % sSrc, rot, p), tag, s.off, s.len);
       }
     }
-    start = std::move(next_start);
   }
 }
 

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/coll_params.hpp"
@@ -49,6 +50,10 @@ std::vector<Seg> slot_segs(const CollParams& params, int parts, int core, int re
 void append_recmul_allgather_rounds(Schedule& sched, int k, int rounds, int parts,
                                     int core, int rem, int rot, int tag_base);
 
+/// Byte segments of the p blocks of the p-block partition (entry b is
+/// seg_of_blocks(count, elem_size, p, b, b + 1)), computed once per build.
+std::vector<Seg> block_segs(const CollParams& params);
+
 /// K-ring allgather rounds (paper §V-C) over all p ranks with group size k
 /// (1 <= k <= p). Groups are consecutive vranks; when k does not divide p
 /// the last group is smaller (the paper's "non-uniform group sizes" corner
@@ -56,7 +61,8 @@ void append_recmul_allgather_rounds(Schedule& sched, int k, int rounds, int part
 /// members by index modulo the destination group's size. Each vrank starts
 /// holding block vr of the p-block partition (absolute offsets); afterwards
 /// everyone holds all p blocks. Groups of consecutive *vranks* equal
-/// consecutive real ranks when rot == 0.
-void append_kring_allgather_rounds(Schedule& sched, int k, int rot, int tag_base);
+/// consecutive real ranks when rot == 0. `blocks` is block_segs(params).
+void append_kring_allgather_rounds(Schedule& sched, int k, int rot, int tag_base,
+                                   std::span<const Seg> blocks);
 
 }  // namespace gencoll::core::internal

@@ -575,6 +575,16 @@ class ElasticTask final : public RankTaskBase {
   ScheduleRunner runner_;
 };
 
+/// One batch in rank order: EventPool places it contiguously, so ring
+/// neighbours and groups of consecutive ranks share a worker's shard.
+template <class T>
+void submit_in_rank_order(EventPool& pool, const std::vector<std::unique_ptr<T>>& tasks) {
+  std::vector<EventPool::Task*> batch;
+  batch.reserve(tasks.size());
+  for (const auto& t : tasks) batch.push_back(t.get());
+  pool.submit(batch);
+}
+
 }  // namespace
 
 std::vector<std::vector<std::byte>> execute_event(
@@ -599,7 +609,7 @@ std::vector<std::vector<std::byte>> execute_event(
         std::span<std::byte>(outputs[i]), type, op, options.sink,
         options.tuning));
   }
-  for (auto& t : tasks) pool.submit(t.get());
+  submit_in_rank_order(pool, tasks);
   pool.wait_all();
 
   if (rs.first_error) std::rethrow_exception(rs.first_error);
@@ -629,7 +639,7 @@ std::vector<std::vector<std::byte>> execute_event_elastic(
     tasks.push_back(std::make_unique<ElasticTask>(
         rs, pool, r, params, type, op, options, provider, outputs, reports));
   }
-  for (auto& t : tasks) pool.submit(t.get());
+  submit_in_rank_order(pool, tasks);
   pool.wait_all();
 
   if (rs.first_error) std::rethrow_exception(rs.first_error);

@@ -6,7 +6,9 @@
 // processes-per-node) and then forwards it to the next group in a single
 // inter-group round — g(k-1) intra + (g-1) inter = p-1 total rounds, with
 // inter-group traffic reduced from 2n(p-1)/p to 2n(p-k)/p (paper Eq. 13).
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/algorithms.hpp"
 #include "core/algorithms_internal.hpp"
@@ -42,9 +44,9 @@ constexpr int kPhase1Tag = internal::kTagPhaseStride;
 
 /// Ring reduce-scatter: after p-1 rounds rank r owns the fully reduced block
 /// (r+1) mod p — the "partitions offset by 1" the paper notes for allreduce.
-void append_ring_reduce_scatter(Schedule& sched, int tag_base) {
-  const CollParams& pr = sched.params;
-  const int p = pr.p;
+/// `blocks` is internal::block_segs(params).
+void append_ring_reduce_scatter(Schedule& sched, int tag_base, std::span<const Seg> blocks) {
+  const int p = sched.params.p;
   for (int t = 0; t < p - 1; ++t) {
     const int tag = tag_base + t * internal::kTagRoundStride;
     for (int r = 0; r < p; ++r) {
@@ -53,8 +55,8 @@ void append_ring_reduce_scatter(Schedule& sched, int tag_base) {
       const int left = (r - 1 + p) % p;
       const int send_block = ((r - t) % p + p) % p;
       const int recv_block = ((r - t - 1) % p + p) % p;
-      const Seg ss = seg_of_blocks(pr.count, pr.elem_size, p, send_block, send_block + 1);
-      const Seg rs = seg_of_blocks(pr.count, pr.elem_size, p, recv_block, recv_block + 1);
+      const Seg& ss = blocks[static_cast<std::size_t>(send_block)];
+      const Seg& rs = blocks[static_cast<std::size_t>(recv_block)];
       prog.send(right, tag, ss.off, ss.len);
       prog.recv_reduce(left, tag, rs.off, rs.len);
     }
@@ -67,11 +69,12 @@ Schedule build_kring_allgather(const CollParams& params) {
   require_op(params, CollOp::kAllgather);
   require_kring_radix(params);
   Schedule sched = make_schedule(params, params.k == 1 ? "ring_allgather" : "kring_allgather");
+  const std::vector<Seg> blocks = internal::block_segs(params);
   for (int r = 0; r < params.p; ++r) {
-    const Seg own = seg_of_blocks(params.count, params.elem_size, params.p, r, r + 1);
+    const Seg& own = blocks[static_cast<std::size_t>(r)];
     sched.ranks[static_cast<std::size_t>(r)].copy_input(0, own.off, own.len);
   }
-  internal::append_kring_allgather_rounds(sched, params.k, /*rot=*/0, kPhase0Tag);
+  internal::append_kring_allgather_rounds(sched, params.k, /*rot=*/0, kPhase0Tag, blocks);
   return sched;
 }
 
@@ -80,12 +83,13 @@ Schedule build_kring_allreduce(const CollParams& params) {
   require_kring_radix(params);
   Schedule sched = make_schedule(params, params.k == 1 ? "ring_allreduce" : "kring_allreduce");
   for (auto& prog : sched.ranks) prog.copy_input(0, 0, params.nbytes());
-  append_ring_reduce_scatter(sched, kPhase0Tag);
+  const std::vector<Seg> blocks = internal::block_segs(params);
+  append_ring_reduce_scatter(sched, kPhase0Tag, blocks);
   // After reduce-scatter, rank r owns block (r+1) mod p; rotate the
   // allgather's vrank space by p-1 so vrank b (the owner of block b) maps to
   // real rank (b + p - 1) mod p = b - 1.
   internal::append_kring_allgather_rounds(sched, params.k, /*rot=*/params.p - 1,
-                                          kPhase1Tag);
+                                          kPhase1Tag, blocks);
   return sched;
 }
 
@@ -100,7 +104,7 @@ Schedule build_kring_bcast(const CollParams& params) {
   internal::append_knomial_scatter(sched, scatter_radix, /*parts=*/params.p,
                                    /*rot=*/params.root, kPhase0Tag);
   internal::append_kring_allgather_rounds(sched, params.k, /*rot=*/params.root,
-                                          kPhase1Tag);
+                                          kPhase1Tag, internal::block_segs(params));
   return sched;
 }
 

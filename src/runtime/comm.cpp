@@ -180,8 +180,7 @@ void Communicator::send_view(int dest, int tag, std::span<const std::byte> data)
   m.source = dense_rank_;
   m.tag = tag;
   m.epoch = epoch_;
-  m.zero_copy = true;
-  m.view = data;
+  m.set_view(data);
   world_->mailbox(orig_of(dest)).post(std::move(m));
 }
 

@@ -102,16 +102,24 @@ void EventPool::notify_sleeper() {
   work_cv_.notify_one();
 }
 
-void EventPool::submit(Task* task) {
-  task->home_ = static_cast<int>(next_home_.fetch_add(1, std::memory_order_relaxed) %
-                                 static_cast<unsigned>(target_));
-  live_tasks_.fetch_add(1);
-  Shard& shard = shards_[static_cast<std::size_t>(task->home_)];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    push_locked(shard, task);
+void EventPool::submit(std::span<Task* const> tasks) {
+  const std::size_t n = tasks.size();
+  const auto shards = static_cast<std::size_t>(target_);
+  live_tasks_.fetch_add(static_cast<int>(n));
+  // Contiguous placement: one shard lock and one notify per run of tasks
+  // that share a home.
+  for (std::size_t i = 0; i < n;) {
+    const std::size_t home = i * shards / n;
+    Shard& shard = shards_[home];
+    {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      for (; i < n && i * shards / n == home; ++i) {
+        tasks[i]->home_ = static_cast<int>(home);
+        push_locked(shard, tasks[i]);
+      }
+    }
+    notify_sleeper();
   }
-  notify_sleeper();
 }
 
 void EventPool::wake(Task* task) {
@@ -208,13 +216,17 @@ void EventPool::publish_deadline_locked() {
 }
 
 void EventPool::arm_timer(Task* task, Clock::time_point when) {
+  // One live entry per task: a later deadline keeps the earlier entry, which
+  // at worst wakes the task early for a harmless re-poll. Checked without
+  // the mutex: a live entry that fire_due_timers pops after this read still
+  // wakes the task (header comment), so returning early loses nothing. Only
+  // the worker running the task arms its timer, and fire_due_timers only
+  // raises timer_at_, so a check that passes here still holds under the lock.
+  if (when >= task->timer_at_.load(std::memory_order_relaxed)) return;
   bool earliest = false;
   {
     std::lock_guard<std::mutex> lock(timer_mu_);
-    // One live entry per task: a later deadline keeps the earlier entry,
-    // which at worst wakes the task early for a harmless re-poll.
-    if (when >= task->timer_at_) return;
-    task->timer_at_ = when;
+    task->timer_at_.store(when, std::memory_order_relaxed);
     earliest = when < next_deadline_.load(std::memory_order_relaxed);
     timers_.push(TimerEntry{when, task});
     publish_deadline_locked();
@@ -235,8 +247,8 @@ void EventPool::fire_due_timers() {
       const TimerEntry entry = timers_.top();
       timers_.pop();
       // Superseded by an earlier entry that already fired or is still live.
-      if (entry.task->timer_at_ != entry.when) continue;
-      entry.task->timer_at_ = kNoDeadline;
+      if (entry.task->timer_at_.load(std::memory_order_relaxed) != entry.when) continue;
+      entry.task->timer_at_.store(kNoDeadline, std::memory_order_relaxed);
       due.push_back(entry.task);
     }
     publish_deadline_locked();

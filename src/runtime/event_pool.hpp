@@ -12,12 +12,17 @@
 // rank tasks.
 //
 // Ready queues are sharded: one cache-line-aligned shard (mutex, deque,
-// atomic size) per worker target. Each task gets a home shard at submit,
-// assigned round-robin in submit order (the n-th submitted task lives on
-// shard n % worker_target()). A task is only ever queued on its home shard,
-// and its state is guarded by that shard's mutex, so the protocol below is
-// the same plain-mutex protocol on every shard — TSan sees ordinary
-// happens-before edges, with no lock-free subtlety on the task state:
+// atomic size) per worker target. submit() takes a batch and places it
+// contiguously: task i of n gets home shard floor(i * worker_target() / n).
+// A rank program's traffic is mostly between neighbouring ranks (ring and
+// k-ring hand-offs, hierarchical groups of consecutive ranks), so neighbours
+// share a shard and a wake() usually stays on the waking worker's own
+// shard; a p-rank ring crosses shards on only worker_target() of its p
+// edges (round-robin placement made every edge cross). A task is only ever
+// queued on its home shard, and its state is guarded by that shard's mutex,
+// so the protocol below is the same plain-mutex protocol on every shard —
+// TSan sees ordinary happens-before edges, with no lock-free subtlety on
+// the task state:
 //
 //   kIdle ──wake()──▶ kQueued ──worker pops──▶ kRunning ──step() parks──▶ kIdle
 //                                                │   ▲
@@ -46,6 +51,17 @@
 // parks that each re-arm a later receive deadline keeps one heap entry, not
 // one per park. Workers read an atomic next-deadline before taking the
 // timer mutex.
+//
+// timer_at_ is atomic so that the common park — a later deadline than the
+// live entry, which ScheduleRunner produces on every receive segment —
+// returns before taking the timer mutex. The early return cannot lose a
+// wake. arm_timer runs on the worker that is running the task, before the
+// park transition. If it reads a live entry at T <= wake_at, that entry was
+// in the heap at the read: either it is still there and fires by T, or
+// fire_due_timers popped it concurrently and then calls wake(task), which
+// finds the task running (kRunningNotified: the park re-queues it), idle
+// (re-queued) or already queued. Either way the task runs again and
+// re-parks, re-arming from timer_at_ == no-deadline.
 //
 // Lock order: a shard mutex and the timer mutex are never held together
 // (due timers are collected under the timer mutex and woken after it is
@@ -76,6 +92,7 @@
 #include <mutex>
 #include <optional>
 #include <queue>
+#include <span>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -122,9 +139,15 @@ class EventPool {
     State state_ = State::kIdle;  // guarded by the home shard's mutex
     int home_ = 0;                // home shard index, fixed at submit
     /// `when` of this task's live timer entry, time_point::max() if none.
-    /// Guarded by the pool's timer mutex.
-    std::chrono::steady_clock::time_point timer_at_ =
-        std::chrono::steady_clock::time_point::max();
+    /// Written under the pool's timer mutex; read without it by arm_timer's
+    /// early return (see the race argument in the header comment).
+    std::atomic<std::chrono::steady_clock::time_point> timer_at_{
+        std::chrono::steady_clock::time_point::max()};
+
+   public:
+    /// Home shard, fixed by submit(). Read it on the submitting thread or
+    /// after wait_all().
+    [[nodiscard]] int home() const { return home_; }
   };
 
   /// `workers` <= 0 resolves the default (GENCOLL_EVENT_WORKERS, else
@@ -134,10 +157,11 @@ class EventPool {
   EventPool(const EventPool&) = delete;
   EventPool& operator=(const EventPool&) = delete;
 
-  /// Register `task` on its home shard (round-robin in submit order) and
-  /// queue it for its first step. The task must outlive the pool (or at
-  /// least every wake() or timer entry that could still reference it).
-  void submit(Task* task);
+  /// Register a batch of tasks and queue each for its first step. Task i of
+  /// n lives on shard floor(i * worker_target() / n), so tasks adjacent in
+  /// the batch share a shard. Each task must outlive the pool (or at least
+  /// every wake() or timer entry that could still reference it).
+  void submit(std::span<Task* const> tasks);
 
   /// Re-queue a parked task; safe from any thread, any task state after
   /// submit (waking a queued, running, or finished task is a no-op / a
@@ -208,7 +232,6 @@ class EventPool {
 
   const int target_;
   std::unique_ptr<Shard[]> shards_;  ///< target_ shards
-  std::atomic<unsigned> next_home_{0};
   std::atomic<int> live_tasks_{0};
   std::atomic<bool> stop_{false};
 

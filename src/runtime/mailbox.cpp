@@ -9,12 +9,16 @@ namespace gencoll::runtime {
 
 void Mailbox::post(Message message) {
   MailboxWaiter* waiter = nullptr;
+  bool blocked = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(message));
     waiter = waiter_;
+    // A matcher registers under mu_ before it waits, so one that has not
+    // registered yet will see this message in its next scan.
+    blocked = blocked_matchers_ > 0;
   }
-  cv_.notify_all();
+  if (blocked) cv_.notify_all();
   // Outside mu_: the waiter re-enters the event pool's lock and must never
   // nest inside the mailbox lock (and vice versa).
   if (waiter != nullptr) waiter->on_mailbox_event();
@@ -77,7 +81,9 @@ Message Mailbox::match(int source, int tag, std::chrono::milliseconds timeout,
                            std::to_string(timeout.count()) + " ms (" +
                            std::to_string(queue_.size()) + " unmatched message(s) queued)");
     }
+    ++blocked_matchers_;
     cv_.wait_until(lock, std::min(deadline, earliest_future));
+    --blocked_matchers_;
   }
 }
 

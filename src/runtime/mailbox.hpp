@@ -31,6 +31,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <new>
 #include <optional>
 #include <span>
 #include <vector>
@@ -67,31 +68,47 @@ struct Message {
   /// in-flight stale traffic" half of the shrink protocol. 0 = the initial
   /// epoch, which every pre-shrink (and every kAbort-mode) message carries.
   int epoch = 0;
+  /// Transport mode flags, packed beside the header ints. At most one of
+  /// zero_copy / is_inline is set; `inline_size` is meaningful only when
+  /// `is_inline`.
+  bool zero_copy = false;
+  bool is_inline = false;
+  std::uint8_t inline_size = 0;
+  /// Earliest instant match() may hand the message out; the epoch default
+  /// means "immediately". Set by fault-injected delivery delays.
+  std::chrono::steady_clock::time_point deliver_at{};
   /// Owned payload bytes: pool-recycled storage on the hot path, adopted
   /// heap vectors on the fault-envelope paths. Empty for zero-copy and
   /// inline sends.
   PoolBuffer payload;
-  /// Zero-copy fast path: a non-owning window into the *sender's* registered
-  /// buffer. Valid only under the executor's zero-copy contract (the sender
-  /// provably does not touch the range until the matched receive completes —
-  /// src/check/hazards.cpp classifies which schedules qualify).
-  std::span<const std::byte> view{};
-  bool zero_copy = false;
-  /// Earliest instant match() may hand the message out; the epoch default
-  /// means "immediately". Set by fault-injected delivery delays.
-  std::chrono::steady_clock::time_point deliver_at{};
+  /// The zero-copy window and the inline bytes are never both live, and
+  /// both are trivially copyable, so they share storage.
+  union {
+    /// Zero-copy fast path (set_view): a non-owning window into the
+    /// *sender's* registered buffer. Valid only under the executor's
+    /// zero-copy contract (the sender provably does not touch the range
+    /// until the matched receive completes — src/check/hazards.cpp
+    /// classifies which schedules qualify).
+    std::span<const std::byte> view{};
+    /// Small-payload fast path (set_inline, plain transport only): the
+    /// bytes travel in the Message itself.
+    std::array<std::byte, kInlinePayloadBytes> inline_bytes;
+  };
 
-  /// Small-payload fast path (plain transport only): the bytes travel in
-  /// the Message itself. `inline_size` is meaningful only when `is_inline`.
-  bool is_inline = false;
-  std::uint8_t inline_size = 0;
-  std::array<std::byte, kInlinePayloadBytes> inline_bytes{};
+  /// Point the Message at the sender's bytes (zero-copy).
+  void set_view(std::span<const std::byte> data) {
+    zero_copy = true;
+    view = data;
+  }
 
   /// Copy `data` (at most kInlinePayloadBytes) into the Message.
   void set_inline(std::span<const std::byte> data) {
     is_inline = true;
     inline_size = static_cast<std::uint8_t>(data.size());
-    if (!data.empty()) std::memcpy(inline_bytes.data(), data.data(), data.size());
+    // Starts the array's lifetime in the shared storage; not zero-filled.
+    auto* bytes = ::new (static_cast<void*>(&inline_bytes))
+        std::array<std::byte, kInlinePayloadBytes>;
+    if (!data.empty()) std::memcpy(bytes->data(), data.data(), data.size());
   }
 
   /// The payload bytes regardless of transport mode.
@@ -102,6 +119,10 @@ struct Message {
   }
   [[nodiscard]] std::size_t size() const { return bytes().size(); }
 };
+
+// Four Messages per std::deque node (libstdc++ nodes are 512 B): the header
+// ints and flags pack into 16 B, the inline bytes share the view's storage.
+static_assert(sizeof(Message) <= 120, "Message outgrew four per deque node");
 
 class Mailbox {
  public:
@@ -193,6 +214,10 @@ class Mailbox {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
+  /// match() calls blocked on cv_ (guarded by mu_). post() notifies only
+  /// when it is nonzero: event-engine tasks never wait on cv_, so their
+  /// deposits skip the notify; interrupt() always notifies.
+  int blocked_matchers_ = 0;
   std::deque<Message> queue_;
   const fault::AbortFlag* abort_ = nullptr;
   const fault::RevokeFlag* revoke_ = nullptr;

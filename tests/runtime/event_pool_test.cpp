@@ -1,17 +1,20 @@
 // EventPool unit tests (DESIGN.md section 13): the worker pool's wakeup
 // protocol in isolation, with hand-written tasks instead of rank programs —
 // run-to-completion ordering under a single worker, the kRunningNotified
-// lost-wakeup defense (also as a cross-shard stress), timer-heap expiry and
-// the one-live-timer rule, stealing past a blocked worker, managed-blocking
-// compensation, and the executor-selection resolution chain (option > env >
-// threaded).
+// lost-wakeup defense (also as a cross-shard stress), contiguous home-shard
+// placement, timer-heap expiry, the one-live-timer rule and its lock-free
+// early return racing a firing timer, stealing past a blocked worker,
+// managed-blocking compensation, and the executor-selection resolution
+// chain (option > env > threaded).
 #include "runtime/event_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -24,6 +27,12 @@ using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
 constexpr auto kNever = steady_clock::time_point::max();
+
+/// Submits `batch` in order as one batch (task i of n on shard
+/// floor(i * worker_target() / n)).
+void submit(EventPool& pool, std::initializer_list<EventPool::Task*> batch) {
+  pool.submit({batch.begin(), batch.size()});
+}
 
 /// Spin-waits `flag` with a bounded budget so a pool bug fails the test
 /// instead of hanging the binary past the ctest timeout.
@@ -86,10 +95,7 @@ TEST(EventPool, SingleWorkerRunsInSubmitOrderAndYieldGoesToTheBack) {
   LogTask t1(1, &log, &mu, /*yield_once=*/true);
   LogTask t2(2, &log, &mu);
   LogTask t3(3, &log, &mu);
-  pool.submit(&gate);  // occupies the lone worker while the rest enqueue
-  pool.submit(&t1);
-  pool.submit(&t2);
-  pool.submit(&t3);
+  submit(pool, {&gate, &t1, &t2, &t3});  // the gate holds the lone worker
   release.store(true, std::memory_order_release);
   pool.wait_all();
 
@@ -122,7 +128,7 @@ class NotifyRaceTask final : public EventPool::Task {
 TEST(EventPool, WakeDuringStepIsNotLostByThePark) {
   EventPool pool(1);
   NotifyRaceTask task;
-  pool.submit(&task);
+  submit(pool, {&task});
   ASSERT_TRUE(await(task.in_step));
   pool.wake(&task);
   task.woken.store(true, std::memory_order_release);
@@ -150,7 +156,7 @@ TEST(EventPool, TimerExpiryRequeuesAParkedTask) {
   EventPool pool(2);
   TimerTask task(milliseconds(60));
   const auto start = steady_clock::now();
-  pool.submit(&task);
+  submit(pool, {&task});
   pool.wait_all();
   EXPECT_EQ(task.steps_, 2);
   // The second step must not have fired early (small slop for clock grain).
@@ -162,7 +168,7 @@ TEST(EventPool, WakingAFinishedTaskIsANoOp) {
   std::mutex mu;
   EventPool pool(1);
   LogTask task(7, &log, &mu);
-  pool.submit(&task);
+  submit(pool, {&task});
   pool.wait_all();
   pool.wake(&task);  // must neither crash nor re-run the task
   std::this_thread::sleep_for(milliseconds(20));
@@ -203,8 +209,7 @@ TEST(EventPool, ManagedBlockingSpawnsACompensationWorker) {
   EventPool pool(1);
   BlockingTask blocker(&peer_done);
   SignalTask peer(&peer_done);
-  pool.submit(&blocker);
-  pool.submit(&peer);
+  submit(pool, {&blocker, &peer});
   pool.wait_all();
   EXPECT_TRUE(blocker.ok_) << "peer never ran: no compensation worker spawned";
   EXPECT_GE(pool.workers_spawned(), 2);
@@ -248,7 +253,7 @@ TEST(EventPool, RepeatedParksKeepOneLiveTimerEntry) {
   constexpr int kParks = 10000;
   DeadlineParkTask task(kParks);  // outlives the pool and its timer entry
   EventPool pool(2);
-  pool.submit(&task);
+  submit(pool, {&task});
   for (int i = 1; i <= kParks; ++i) {
     // Once step i has started, a wake either re-queues the parked task or
     // marks the running one notified; both lead to step i + 1.
@@ -284,7 +289,7 @@ class ShorterDeadlineTask final : public EventPool::Task {
 TEST(EventPool, EarlierDeadlineSupersedesTheLiveTimer) {
   ShorterDeadlineTask task;  // outlives the pool and its timer entries
   EventPool pool(2);
-  pool.submit(&task);
+  submit(pool, {&task});
   ASSERT_TRUE(await_count(task.steps, 1));
   pool.wake(&task);
   pool.wait_all();  // wait_all orders the task's writes before these reads
@@ -310,22 +315,27 @@ class BlockUntilTask final : public EventPool::Task {
 };
 
 TEST(EventPool, TasksQueuedBehindABlockedWorkerAreStolen) {
-  // Home shards are assigned round-robin in submit order: with two shards
-  // the blocker and the peer it waits for share shard 0, the filler takes
-  // shard 1. Whichever worker runs the blocker stalls with the peer queued
-  // on the blocker's home shard, so another worker must steal it.
+  // Placed explicitly: a batch of four on two shards puts the fillers on
+  // shard 0 and the blocker with the peer it waits for on shard 1. Whichever
+  // worker runs the blocker stalls with the peer queued on shard 1; the
+  // shard-0 worker and the compensation worker (home shard 2 % 2 == 0) can
+  // only reach the peer by stealing it.
   std::atomic<bool> peer_ran{false};
-  std::atomic<bool> filler_ran{false};
+  std::atomic<bool> filler_ran[2] = {false, false};
   EventPool pool(2);
   BlockUntilTask blocker(&peer_ran);
-  SignalTask filler(&filler_ran);
+  SignalTask filler0(&filler_ran[0]);
+  SignalTask filler1(&filler_ran[1]);
   SignalTask peer(&peer_ran);
-  pool.submit(&blocker);
-  pool.submit(&filler);
-  pool.submit(&peer);
+  submit(pool, {&filler0, &filler1, &blocker, &peer});
+  ASSERT_EQ(filler0.home(), 0);
+  ASSERT_EQ(filler1.home(), 0);
+  ASSERT_EQ(blocker.home(), 1);
+  ASSERT_EQ(peer.home(), 1);
   pool.wait_all();
   EXPECT_TRUE(blocker.ok) << "the peer queued behind the blocked task never ran";
-  EXPECT_TRUE(filler_ran.load());
+  EXPECT_TRUE(filler_ran[0].load());
+  EXPECT_TRUE(filler_ran[1].load());
 }
 
 /// Token ring across shards: each task forwards every token it holds to its
@@ -360,23 +370,41 @@ class TokenTask final : public EventPool::Task {
   int forwarded_ = 0;
 };
 
+/// `n` TokenTasks linked into a ring (task i forwards to task i + 1).
+std::vector<std::unique_ptr<TokenTask>> make_token_ring(EventPool* pool, int n, int rounds,
+                                                        std::atomic<int>* finished,
+                                                        const std::atomic<bool>* go) {
+  std::vector<std::unique_ptr<TokenTask>> ring;
+  for (int i = 0; i < n; ++i) {
+    ring.push_back(std::make_unique<TokenTask>(pool, rounds));
+    ring.back()->finished = finished;
+    ring.back()->go = go;
+  }
+  for (int i = 0; i < n; ++i) {
+    ring[static_cast<std::size_t>(i)]->set_next(ring[static_cast<std::size_t>((i + 1) % n)].get());
+  }
+  return ring;
+}
+
 TEST(EventPool, CrossShardWakeStormLosesNoWakeup) {
   constexpr int kTasks = 64;
   constexpr int kRounds = 10000;
+  constexpr int kShards = 4;
   std::atomic<int> finished{0};
   std::atomic<bool> go{false};
-  std::vector<std::unique_ptr<TokenTask>> tasks;
-  EventPool pool(4);
-  for (int i = 0; i < kTasks; ++i) {
-    tasks.push_back(std::make_unique<TokenTask>(&pool, kRounds));
-    tasks.back()->finished = &finished;
-    tasks.back()->go = &go;
+  EventPool pool(kShards);
+  auto tasks = make_token_ring(&pool, kTasks, kRounds, &finished, &go);
+  // Placed explicitly so that every ring edge crosses shards: the batch
+  // lists the tasks by i % 4, so contiguous placement gives task i home
+  // shard i % 4 and each wake() of a successor goes to another shard.
+  std::vector<EventPool::Task*> batch;
+  for (int s = 0; s < kShards; ++s) {
+    for (int i = s; i < kTasks; i += kShards) batch.push_back(tasks[static_cast<std::size_t>(i)].get());
   }
+  pool.submit(batch);
   for (int i = 0; i < kTasks; ++i) {
-    tasks[static_cast<std::size_t>(i)]->set_next(
-        tasks[static_cast<std::size_t>((i + 1) % kTasks)].get());
+    ASSERT_EQ(tasks[static_cast<std::size_t>(i)]->home(), i % kShards);
   }
-  for (auto& t : tasks) pool.submit(t.get());
   go.store(true, std::memory_order_release);
   for (auto& t : tasks) pool.wake(t.get());  // re-queue any early park
   // Bounded instead of wait_all(): a lost wakeup fails here, and the pool
@@ -384,6 +412,112 @@ TEST(EventPool, CrossShardWakeStormLosesNoWakeup) {
   EXPECT_TRUE(await_count(finished, kTasks, milliseconds(100000)))
       << finished.load() << " of " << kTasks << " tasks finished";
   if (finished.load() == kTasks) pool.wait_all();
+}
+
+TEST(EventPool, RingNeighboursShareAShard) {
+  constexpr int kTasks = 256;
+  constexpr int kShards = 4;
+  std::atomic<int> finished{0};
+  std::atomic<bool> go{false};
+  EventPool pool(kShards);
+  auto tasks = make_token_ring(&pool, kTasks, /*rounds=*/100, &finished, &go);
+  std::vector<EventPool::Task*> batch;
+  for (auto& t : tasks) batch.push_back(t.get());
+  pool.submit(batch);
+  int crossing = 0;
+  for (int i = 0; i < kTasks; ++i) {
+    const int home = tasks[static_cast<std::size_t>(i)]->home();
+    EXPECT_EQ(home, i * kShards / kTasks) << "task " << i;
+    if (home != tasks[static_cast<std::size_t>((i + 1) % kTasks)]->home()) ++crossing;
+  }
+  EXPECT_EQ(crossing, kShards);  // one edge out of each shard's run of ranks
+  go.store(true, std::memory_order_release);
+  for (auto& t : tasks) pool.wake(t.get());
+  EXPECT_TRUE(await_count(finished, kTasks, milliseconds(100000)))
+      << finished.load() << " of " << kTasks << " tasks finished";
+  if (finished.load() == kTasks) pool.wait_all();
+}
+
+/// Parks every step with wake_at = now + its own delay and wakes a peer on
+/// every other step. A peer's wake re-parks it with a later deadline while
+/// its earlier timer entry is live or firing — the park that returns from
+/// arm_timer before the timer mutex. Records how late each step ran
+/// relative to the wake_at of the park before it.
+class TimerRaceTask final : public EventPool::Task {
+ public:
+  TimerRaceTask(EventPool* pool, std::chrono::microseconds delay, int steps)
+      : pool_(pool), delay_(delay), steps_(steps) {}
+  void set_peer(TimerRaceTask* peer) { peer_ = peer; }
+
+  StepResult step() override {
+    const auto now = steady_clock::now();
+    if (now > due_) max_late_ = std::max(max_late_, now - due_);
+    if (!go->load(std::memory_order_acquire)) return {Status::kPark, kNever};
+    if (++ran_ == steps_) {
+      finished->fetch_add(1, std::memory_order_acq_rel);
+      return {Status::kDone, kNever};
+    }
+    if (ran_ % 2 == 0) pool_->wake(peer_);
+    due_ = now + delay_;
+    return {Status::kPark, due_};
+  }
+
+  std::atomic<int>* finished = nullptr;
+  const std::atomic<bool>* go = nullptr;
+  steady_clock::duration max_late_{};
+
+ private:
+  EventPool* pool_;
+  TimerRaceTask* peer_ = nullptr;
+  std::chrono::microseconds delay_;
+  int steps_;
+  int ran_ = 0;
+  steady_clock::time_point due_ = kNever;
+};
+
+TEST(EventPool, TimerFiringDuringALaterReparkLosesNoWake) {
+  constexpr int kTasks = 48;
+  constexpr int kSteps = 400;
+  std::atomic<int> finished{0};
+  std::atomic<bool> go{false};
+  std::vector<std::unique_ptr<TimerRaceTask>> tasks;
+  EventPool pool(4);
+  for (int i = 0; i < kTasks; ++i) {
+    // 50..750 us: timers come due while peers are re-parking.
+    tasks.push_back(std::make_unique<TimerRaceTask>(
+        &pool, std::chrono::microseconds(50 + 50 * (i % 15)), kSteps));
+    tasks.back()->finished = &finished;
+    tasks.back()->go = &go;
+  }
+  for (int i = 0; i < kTasks; ++i) {
+    // Peers on other shards as well as the same one.
+    tasks[static_cast<std::size_t>(i)]->set_peer(
+        tasks[static_cast<std::size_t>((i * 7 + 5) % kTasks)].get());
+  }
+  std::vector<EventPool::Task*> batch;
+  for (auto& t : tasks) batch.push_back(t.get());
+  pool.submit(batch);
+  go.store(true, std::memory_order_release);
+  for (auto& t : tasks) pool.wake(t.get());
+
+  // Every park's deadline is later than the one before it, so a task never
+  // holds more than one heap entry, superseded or not.
+  std::size_t max_pending = 0;
+  const auto deadline = steady_clock::now() + milliseconds(100000);
+  while (finished.load(std::memory_order_acquire) < kTasks && steady_clock::now() < deadline) {
+    max_pending = std::max(max_pending, pool.timers_pending());
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  ASSERT_EQ(finished.load(), kTasks) << "a timer wake was lost";
+  pool.wait_all();  // orders the tasks' writes before the reads below
+  EXPECT_LE(max_pending, static_cast<std::size_t>(kTasks));
+  EXPECT_LE(pool.timers_pending(), static_cast<std::size_t>(kTasks));
+  for (int i = 0; i < kTasks; ++i) {
+    // Generous for sanitizer builds on a loaded host; a lost timer leaves
+    // the task to its peer's next wake or, once the peer is done, forever.
+    EXPECT_LT(tasks[static_cast<std::size_t>(i)]->max_late_, std::chrono::seconds(2))
+        << "task " << i << " ran later than its wake_at";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,12 +3,16 @@
 // Single-config mode proves one (op, algorithm, p, k, count) schedule and
 // prints the full report; --sweep proves every kernel in the registry over a
 // process-count / radix / payload grid (the CI leg). Exit status is nonzero
-// iff any violation was found, so both modes gate merges directly.
+// iff any violation was found, so both modes gate merges directly. --digest
+// hashes every schedule the sweep grid builds, so a builder change can be
+// shown step-for-step identical to its parent by diffing two outputs.
 //
 //   gencoll_check --op allreduce --alg kring --p 12 --k 4 --count 64
 //   gencoll_check --sweep --pmax 64 --json
+//   gencoll_check --digest --pset 256 --counts 1024
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -210,45 +214,159 @@ std::vector<std::vector<int>> hier_level_shapes(int g) {
   return shapes;
 }
 
-int run_sweep(const gencoll::util::Cli& cli, const CheckOptions& opts) {
-  const int pmax = static_cast<int>(cli.get_int("pmax").value_or(64));
+/// The sweep's process counts (--pset, else the default shapes up to
+/// --pmax), element counts (--counts) and element size (--elem).
+struct SweepGrid {
+  int pmax = 64;
   std::vector<int> pset;
+  std::vector<std::int64_t> user_counts;
+  std::size_t elem = 4;
+};
+
+SweepGrid sweep_grid(const gencoll::util::Cli& cli) {
+  SweepGrid grid;
+  grid.pmax = static_cast<int>(cli.get_int("pmax").value_or(64));
   if (const auto user = cli.get_int_list("pset"); !user.empty()) {
-    for (std::int64_t p : user) pset.push_back(static_cast<int>(p));
+    for (std::int64_t p : user) grid.pset.push_back(static_cast<int>(p));
   } else {
     // Powers and near-powers of 2 and 3, primes, and mixed composites: the
     // shapes that exercise folds, uneven groups, and wrapped partitions.
     for (int p : {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 24, 25, 27, 32, 33,
                   48, 64}) {
-      if (p <= pmax) pset.push_back(p);
+      if (p <= grid.pmax) grid.pset.push_back(p);
     }
   }
-  const auto user_counts = cli.get_int_list("counts");
-  const auto elem = static_cast<std::size_t>(cli.get_int("elem").value_or(4));
+  grid.user_counts = cli.get_int_list("counts");
+  grid.elem = static_cast<std::size_t>(cli.get_int("elem").value_or(4));
+  return grid;
+}
 
-  SweepTotals totals;
+/// Calls fn(alg, params, roots) once per flat (op, algorithm, p, k, count)
+/// config of the grid; `roots` lists the roots the sweep proves it at.
+template <class Fn>
+void for_each_flat_config(const SweepGrid& grid, Fn&& fn) {
   for (CollOp op : gencoll::core::kAllCollOps) {
     for (Algorithm alg : gencoll::core::algorithms_for(op)) {
-      for (int p : pset) {
+      for (int p : grid.pset) {
         for (int k : gencoll::core::candidate_radixes(op, alg, p)) {
-          for (std::size_t count : sweep_counts(p, user_counts)) {
+          for (std::size_t count : sweep_counts(p, grid.user_counts)) {
             CollParams params;
             params.op = op;
             params.p = p;
             params.count = count;
-            params.elem_size = elem;
+            params.elem_size = grid.elem;
             params.k = k;
             std::vector<int> roots{0};
             if (rooted(op) && p > 1) roots.push_back(p - 1);
-            for (int root : roots) {
-              params.root = root;
-              sweep_one(alg, params, opts, totals);
-            }
+            fn(alg, params, roots);
           }
         }
       }
     }
   }
+}
+
+/// 64-bit FNV-1a, folded field by field.
+struct Fnv64 {
+  std::uint64_t h = 14695981039346656037ULL;
+  void bytes(const void* data, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ULL;
+    }
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void str(const std::string& v) {
+    u64(v.size());
+    bytes(v.data(), v.size());
+  }
+};
+
+/// Folds everything an executor reads from a schedule: name, parameters,
+/// every rank's step program and any hierarchy metadata.
+void fold_schedule(const Schedule& sched, Fnv64& hash) {
+  hash.str(sched.name);
+  hash.str(sched.params.describe());
+  hash.u64(sched.ranks.size());
+  for (const auto& prog : sched.ranks) {
+    hash.u64(prog.steps.size());
+    for (const auto& step : prog.steps) {
+      hash.u64(static_cast<std::uint64_t>(step.kind));
+      hash.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(step.peer)));
+      hash.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(step.tag)));
+      hash.u64(step.off);
+      hash.u64(step.bytes);
+      hash.u64(step.src_off);
+    }
+  }
+  hash.u64(sched.hier.has_value() ? 1 : 0);
+  if (sched.hier) {
+    const auto& h = *sched.hier;
+    hash.u64(static_cast<std::uint64_t>(h.group_size));
+    hash.u64(static_cast<std::uint64_t>(h.inter_alg));
+    hash.u64(static_cast<std::uint64_t>(h.inter_k));
+    hash.u64(h.intra_shm ? 1 : 0);
+    for (int l : h.levels) hash.u64(static_cast<std::uint64_t>(l));
+    for (std::size_t e : h.intra_end) hash.u64(e);
+    for (std::size_t e : h.leader_end) hash.u64(e);
+  }
+}
+
+/// --digest: one line per flat sweep config, "op alg p k count hash", the
+/// hash folding the schedule built at every root the sweep proves (or
+/// "unsupported"), then a combined hash over all lines. Two builds whose
+/// outputs are identical line for line emit identical schedules, step for
+/// step, over the grid.
+int run_digest(const gencoll::util::Cli& cli) {
+  Fnv64 all;
+  std::size_t configs = 0;
+  std::size_t steps = 0;
+  char hex[17];
+  for_each_flat_config(sweep_grid(cli), [&](Algorithm alg, CollParams params,
+                                            const std::vector<int>& roots) {
+    Fnv64 hash;
+    bool supported = true;
+    for (int root : roots) {
+      params.root = root;
+      try {
+        const Schedule sched = gencoll::core::build_schedule(alg, params);
+        fold_schedule(sched, hash);
+        steps += sched.total_steps();
+      } catch (const gencoll::core::UnsupportedParams&) {
+        supported = false;
+      }
+    }
+    std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(hash.h));
+    std::string line = std::string(gencoll::core::coll_op_name(params.op)) + " " +
+                       gencoll::core::algorithm_name(alg) + " " + std::to_string(params.p) +
+                       " " + std::to_string(params.k) + " " + std::to_string(params.count) +
+                       " " + (supported ? hex : "unsupported");
+    std::cout << line << "\n";
+    all.str(line);
+    ++configs;
+  });
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(all.h));
+  std::cout << "digest: " << configs << " configs, " << steps << " steps, combined " << hex
+            << "\n";
+  return 0;
+}
+
+int run_sweep(const gencoll::util::Cli& cli, const CheckOptions& opts) {
+  const SweepGrid grid = sweep_grid(cli);
+  const int pmax = grid.pmax;
+  const std::vector<int>& pset = grid.pset;
+  const auto& user_counts = grid.user_counts;
+  const std::size_t elem = grid.elem;
+
+  SweepTotals totals;
+  for_each_flat_config(grid, [&](Algorithm alg, CollParams params,
+                                 const std::vector<int>& roots) {
+    for (int root : roots) {
+      params.root = root;
+      sweep_one(alg, params, opts, totals);
+    }
+  });
 
   // Crash-at-rank-r: for every kernel shape the elastic path could rebuild
   // after a single death, prove the shrunk schedule against the survivor
@@ -425,6 +543,9 @@ int run_sweep(const gencoll::util::Cli& cli, const CheckOptions& opts) {
 int main(int argc, char** argv) {
   gencoll::util::Cli cli;
   cli.add_flag("sweep", "prove every registry kernel over the full grid");
+  cli.add_flag("digest",
+               "print one schedule hash per (op, alg, p, k, count) of the sweep "
+               "grid (honours --pmax/--pset/--counts/--elem)");
   cli.add_flag("op", "collective op (single-config mode)", "allreduce");
   cli.add_flag("alg", "algorithm (single-config mode)", "kring");
   cli.add_flag("p", "process count", "8");
@@ -462,6 +583,7 @@ int main(int argc, char** argv) {
   opts.strict_reorder = cli.get_bool("strict-reorder");
   opts.conformance = !cli.get_bool("no-conformance");
 
+  if (cli.get_bool("digest")) return run_digest(cli);
   if (cli.get_bool("sweep")) return run_sweep(cli, opts);
 
   const auto op = gencoll::core::parse_coll_op(cli.get("op"));
